@@ -1,10 +1,6 @@
 package latency
 
-import (
-	"time"
-
-	"shortcuts/internal/bgp"
-)
+import "shortcuts/internal/bgp"
 
 // PathScratch holds the reusable path-expansion buffers of one-shot
 // pricing: two PopPaths whose ASPath/Cities slices are recycled across
@@ -40,35 +36,11 @@ func (e *Engine) resolvePairOneShot(a, b Endpoint, ps *PathScratch, st *pathStat
 	return hp, asym, nil
 }
 
-// PingTrainOneShot prices a train exactly like PingTrain but resolves
-// the pair one-shot (see resolvePairOneShot): bit-identical samples,
-// zero heap traffic, no cache admission. ps must not be shared between
-// concurrent callers.
-func (v View) PingTrainOneShot(a, b Endpoint, round int, t0 time.Time, interval time.Duration, out []PingSample, ps *PathScratch) error {
-	if len(out) == 0 {
-		return nil
-	}
-	var st pathState
-	hp, asym, err := v.e.resolvePairOneShot(a, b, ps, &st)
-	if err != nil {
-		return err
-	}
-	eff := NeutralEffect()
-	if v.ov != nil {
-		eff = v.ov.PairEffect(a.City, b.City)
-	}
-	for slot := range out {
-		at := t0.Add(time.Duration(slot) * interval)
-		rtt, ok := v.e.pingSlot(&st, hp, asym, round, slot, hourFracOf(at), eff)
-		out[slot] = PingSample{RTT: rtt, OK: ok}
-	}
-	return nil
-}
-
-// PingTrainOneShotSched is PingTrainOneShot on a pre-decomposed slot
-// schedule (see PingTrainSched): one-shot pair resolution, no cache
-// admission, no per-ping wall-time decomposition. This is the sampled
-// direct-pair fast path of scale-tier rounds.
+// PingTrainOneShotSched prices a train exactly like PingTrainSched but
+// resolves the pair one-shot (see resolvePairOneShot): bit-identical
+// samples, zero heap traffic, no cache admission, no per-ping wall-time
+// decomposition. ps must not be shared between concurrent callers. This
+// is the sampled direct-pair fast path of scale-tier rounds.
 func (v View) PingTrainOneShotSched(a, b Endpoint, round int, hourFrac []float64, out []PingSample, ps *PathScratch) error {
 	if len(out) == 0 {
 		return nil

@@ -26,7 +26,7 @@ func sampledCampaign(t *testing.T, perCountry int) *campaign {
 		t.Fatal(err)
 	}
 	for r := 0; r < 2; r++ {
-		if _, err := c.runRound(r, discardSink{}); err != nil {
+		if _, err := runOneRound(c, r, discardSink{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,7 +46,7 @@ func TestSampledRoundAllocs(t *testing.T) {
 	measure := func(perCountry int) float64 {
 		c := sampledCampaign(t, perCountry)
 		return testing.AllocsPerRun(3, func() {
-			if _, err := c.runRound(1, discardSink{}); err != nil {
+			if _, err := runOneRound(c, 1, discardSink{}); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -49,7 +49,7 @@ func BenchmarkCampaignRoundSteadyState(b *testing.B) {
 		b.Fatal(err)
 	}
 	for r := 0; r < 2; r++ {
-		if _, err := c.runRound(r, discardSink{}); err != nil {
+		if _, err := runOneRound(c, r, discardSink{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkCampaignRoundSteadyState(b *testing.B) {
 	b.ResetTimer()
 	var pairs int
 	for i := 0; i < b.N; i++ {
-		info, err := c.runRound(1, discardSink{})
+		info, err := runOneRound(c, 1, discardSink{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,13 +67,14 @@ func BenchmarkCampaignRoundSteadyState(b *testing.B) {
 }
 
 // BenchmarkCampaignRoundPipelined times a warm 24-round campaign at
-// pipeline depths 1, 2 and 8 and reports the per-round cost. The world
-// (and its shared path-state cache and feasibility memo) is warmed by a
-// throwaway campaign first, so the numbers isolate what pipelining
-// overlaps: the per-round measurement work itself. On a single-core
-// runner the depths tie — the knob reshapes the schedule, not the work;
-// the speedup shows on multi-core hosts where sequential rounds leave
-// cores idle between parallel sections.
+// pipeline depths 1, 2 and 8 and reports the per-round cost; it is the
+// measurement behind roundDepth's choice of 2. The world (and its shared
+// path-state cache and feasibility memo) is warmed by a throwaway
+// campaign first, so the numbers isolate what the overlap buys: the
+// per-round measurement work itself. On a single-core runner the depths
+// tie — depth reshapes the schedule, not the work; the speedup shows on
+// multi-core hosts where one round leaves cores idle between its
+// parallel sections.
 func BenchmarkCampaignRoundPipelined(b *testing.B) {
 	w := benchWorld(b)
 	const rounds = 24
@@ -86,11 +87,10 @@ func BenchmarkCampaignRoundPipelined(b *testing.B) {
 		b.Run(map[int]string{1: "k1", 2: "k2", 8: "k8"}[k], func(b *testing.B) {
 			cfg := QuickConfig(rounds)
 			cfg.DailyCreditLimit = 0
-			cfg.RoundPipeline = k
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := RunStream(w, cfg, discardSink{}); err != nil {
+				if err := runAtDepth(w, cfg, k, discardSink{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -258,13 +258,15 @@ func BenchmarkMillionEndpointRound(b *testing.B) {
 			// endpoints the classic per-coin rng.Rand reseed alone costs
 			// tens of seconds per round.
 			cfg.FastAvailability = true
-			c, err := newCampaign(w, cfg)
+			// One slot: the benchmark times single rounds, so each gets the
+			// whole core budget.
+			c, err := newCampaignDepth(w, cfg, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var endpoints int
 			for r := 0; r < 2; r++ {
-				info, err := c.runRound(r, discardSink{})
+				info, err := runOneRound(c, r, discardSink{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -273,7 +275,7 @@ func BenchmarkMillionEndpointRound(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.runRound(1, discardSink{}); err != nil {
+				if _, err := runOneRound(c, 1, discardSink{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -16,32 +16,29 @@
 // reused scratch arena with capacity-retaining resets, so steady-state
 // rounds stay off the allocator.
 //
-// # Executor stages
+// # Executor
 //
 // Rounds are independent snapshots 12 hours apart, and every stochastic
 // draw is keyed by (seed, round, slot) — never by call order — so rounds
-// may execute out of order as long as they are emitted in order. The
-// executor exploits that in three stages:
+// may execute out of order as long as they reach the Sink in order. One
+// executor (run, pipeline.go) exploits that in two stages:
 //
-//   - execute: a round runs all its measurement phases and stitches its
-//     observations into a per-slot buffer. Each in-flight round owns one
-//     roundSlot — a full scratch arena, improve arena, and engine view —
-//     drawn from a fixed set of Config.RoundPipeline slots, so concurrent
-//     rounds never share mutable state.
-//   - settle: the round's Atlas credits are only *reserved* during
-//     execution (atlas.Reserve); the emitter commits reservations in
-//     round order (atlas.Ledger.Settle), recreating the exact
-//     day-sequential spend sequence of a sequential campaign, so budget
-//     exhaustion aborts at the identical round.
-//   - emit: completed rounds are released to the Sink strictly in round
-//     order. Workers hand their slot to the emitter and block until it
-//     has been flushed, which bounds buffered output at RoundPipeline
-//     rounds — a slow Sink throttles execution instead of growing a
-//     reorder buffer.
+//   - execute: each in-flight round owns one roundSlot — engine view,
+//     scratch arena and columnar ObsBlock — and stitches its observations
+//     into the slot's block. Round r runs on slot r % depth, so
+//     concurrent rounds never share mutable state.
+//   - release: the caller's goroutine takes rounds strictly in round
+//     order, charges each round's Atlas credits (so budget exhaustion
+//     aborts at the same round at any depth), delivers the block to the
+//     Sink, calls RoundDone and hands the slot back. A worker waits for
+//     its slot before starting its next round, which bounds buffered
+//     output at depth rounds: a slow Sink throttles execution instead of
+//     growing a reorder buffer.
 //
-// With RoundPipeline <= 1 (the default) the executor degenerates to the
-// classic sequential loop over a single slot; the emitted stream is
-// bit-identical for every pipeline depth.
+// The depth is derived, never configured (see roundDepth): two slots
+// when the campaign's core budget allows it, one when the campaign has a
+// single round or a SelfHeal controller makes round r+1 depend on round
+// r. The emitted stream is bit-identical at every depth.
 package measure
 
 import (
@@ -75,37 +72,28 @@ func Run(w *sim.World, cfg Config) (*Results, error) {
 
 // RunStream executes the campaign, pushing observations and per-round
 // summaries into sink as each round completes. Equal seeds produce
-// bit-for-bit identical streams for any Concurrency, any engine shard
-// count, and any RoundPipeline depth: every stochastic draw derives
-// from (seed, path identity, round, slot), never from scheduling.
+// bit-for-bit identical streams for any Concurrency and any engine shard
+// count: every stochastic draw derives from (seed, path identity, round,
+// slot), never from scheduling.
 func RunStream(w *sim.World, cfg Config, sink Sink) error {
 	c, err := newCampaign(w, cfg)
 	if err != nil {
 		return err
 	}
-	if cfg.SelfHeal != nil {
-		// The controller sees each round before the caller's sink does,
-		// so by the time external observers learn round r finished, the
-		// exclusions for round r+1 are already decided.
-		sink = MultiSink(cfg.SelfHeal, sink)
-	}
-	if len(c.slots) > 1 {
-		return c.runPipelined(sink)
-	}
-	for round := 0; round < cfg.Rounds; round++ {
-		info, err := c.runRound(round, sink)
-		if err != nil {
-			return fmt.Errorf("measure: round %d: %w", round, err)
-		}
-		sink.RoundDone(info)
-	}
-	return nil
+	return c.run(sink)
 }
 
 // newCampaign validates the configuration and builds the campaign
 // executor: compiled scenario, propagation matrix, city-pair feasibility
 // memo, and the (initially empty) per-slot round scratch arenas.
 func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
+	return newCampaignDepth(w, cfg, 0)
+}
+
+// newCampaignDepth is newCampaign with the pipeline depth forced to k
+// (k <= 0 derives it), so tests can prove the stream is the same at
+// every depth.
+func newCampaignDepth(w *sim.World, cfg Config, k int) (*campaign, error) {
 	if cfg.Rounds <= 0 {
 		return nil, fmt.Errorf("measure: Rounds must be positive")
 	}
@@ -130,30 +118,7 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 		nc := len(w.Topo.Cities)
 		return newFeasMemo(w, nc, cityPropDelays(w))
 	}).(*feasMemo)
-	depth := cfg.RoundPipeline
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > cfg.Rounds {
-		depth = cfg.Rounds
-	}
-	if cfg.SelfHeal != nil {
-		// Self-healing adds a feedback edge — round r's detections shape
-		// round r+1's feasibility — so rounds are no longer independent.
-		// Collapsing the pipeline keeps the stream identical at any
-		// requested depth instead of deadlocking on the dependency.
-		depth = 1
-	}
-	// One worker budget: an explicit Concurrency is per round, as ever;
-	// the GOMAXPROCS default is divided across the concurrent rounds so
-	// pipelining changes the schedule, never the total parallelism.
-	workers := cfg.Concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) / depth
-		if workers < 1 {
-			workers = 1
-		}
-	}
+	depth, workers := roundDepth(cfg, k)
 	g := rng.New(campaignSeed(cfg, w)).Split("campaign")
 	return &campaign{
 		w:        w,
@@ -169,6 +134,39 @@ func newCampaign(w *sim.World, cfg Config) (*campaign, error) {
 		workers:  workers,
 		slots:    make([]roundSlot, depth),
 	}, nil
+}
+
+// roundDepth derives the executor's shape from the campaign's core
+// budget B — Concurrency, or GOMAXPROCS when unset. The depth is 2 when
+// B >= 2 and the campaign has two rounds to overlap; each round's worker
+// pool gets B/depth cores. A second slot fills the cores a single round
+// leaves idle between its parallel sections: on 2 cores a warm 24-round
+// campaign (BenchmarkCampaignRoundPipelined) runs in 0.47 s at depth 2
+// against 0.68 s at depth 1, and depth 8 is no faster for ~3x the arena
+// memory, so the depth stops at 2.
+//
+// A SelfHeal controller forces depth 1: round r's detections shape round
+// r+1's plan, so round r+1 may not start before round r is released.
+// force > 0 overrides the derived depth, within the same two limits.
+func roundDepth(cfg Config, force int) (depth, workers int) {
+	budget := cfg.Concurrency
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	depth = 1
+	if budget >= 2 {
+		depth = 2
+	}
+	if force > 0 {
+		depth = force
+	}
+	if depth > cfg.Rounds {
+		depth = cfg.Rounds
+	}
+	if cfg.SelfHeal != nil {
+		depth = 1
+	}
+	return depth, max(budget/depth, 1)
 }
 
 // campaignSeed resolves the seed the campaign's draws derive from: an
@@ -202,27 +200,29 @@ type campaign struct {
 	// configured); each slot binds its round's snapshot to its own view.
 	scenario *scenario.Compiled
 
-	// workers is the per-round worker-pool size (resolved once: explicit
-	// Concurrency, or the GOMAXPROCS budget split across pipeline slots).
+	// workers is the per-round worker-pool size: the core budget divided
+	// across the slots (see roundDepth).
 	workers int
 
 	// slots hold every piece of per-round mutable state, one slot per
-	// concurrently executing round. Sequential campaigns use slots[0]
-	// only; the pipelined executor statically assigns round r to slot
-	// r % len(slots), so a slot is always reused by one goroutine with
-	// the same capacity-retaining resets as the sequential loop.
+	// concurrently executing round. Round r runs on slot r % len(slots),
+	// so a slot is always reused by one goroutine with capacity-retaining
+	// resets.
 	slots []roundSlot
 
-	// executed counts rounds whose execution has finished (emitted or
-	// not). The pipelined back-pressure contract — at most len(slots)
-	// rounds past the emission frontier — is asserted against it.
+	// arena backs the Improving slices handed to plain (non-block)
+	// sinks. Only the release step touches it.
+	arena improveArena
+
+	// executed counts rounds whose execution has finished (released or
+	// not). The back-pressure contract — at most len(slots) rounds past
+	// the release frontier — is asserted against it.
 	executed atomic.Int64
 }
 
 // roundSlot owns the mutable state of one in-flight round: the engine
-// view bound to the round's scenario snapshot, the scratch arena, the
-// improve arena, and (in pipelined mode) the buffered emissions and the
-// round's pending ledger reservation.
+// view bound to the round's scenario snapshot, the scratch arena, and
+// the columnar block the round stitches into.
 type roundSlot struct {
 	// view is the engine bound to the round's scenario snapshot. It is
 	// rebound at the start of the round, before the worker pool spawns,
@@ -235,34 +235,20 @@ type roundSlot struct {
 	// each other's slots).
 	scr roundScratch
 
-	// improving collects one pair's improving relays before the
-	// exact-size arena copy; arena amortizes the escaping copies.
+	// improving collects one pair's improving relays before they copy
+	// into the block.
 	improving []ImproveEntry
-	arena     improveArena
 
-	// block is the reused columnar round buffer handed to BlockSinks.
+	// block is the round's stitched output, reused across the slot's
+	// rounds; the release step hands it to the Sink.
 	block ObsBlock
 
-	// obs buffers the round's stitched observations in pipelined mode,
-	// flushed to the real sink by the emitter in round order. Sequential
-	// rounds emit directly and leave it empty.
-	obs obsBuffer
-	// info and resv carry the round summary and the pending credit
-	// reservation from execution to ordered emission; err carries an
-	// execution failure to the emitter, which reports it at the round's
-	// in-order position.
+	// info carries the round summary from execution to the release step;
+	// err carries an execution failure, reported at the round's in-order
+	// position.
 	info RoundInfo
-	resv atlas.Reservation
 	err  error
 }
-
-// obsBuffer is a Sink that builds the slot's in-memory round: the
-// pipelined executor stitches into it during execution and the emitter
-// flushes it once the round's turn comes.
-type obsBuffer []Observation
-
-func (b *obsBuffer) Emit(o Observation)  { *b = append(*b, o) }
-func (b *obsBuffer) RoundDone(RoundInfo) {}
 
 // roundScratch is the arena of per-round buffers. Every field is either
 // fully overwritten each round or explicitly cleared by reset, so a
@@ -327,7 +313,8 @@ func grown[T any](s []T, n int) []T {
 // so a sink appending to one copies instead of clobbering a neighbour.
 // Retention note: a sink that holds any observation of a block keeps the
 // whole block alive; the two usual sinks sit at the harmless extremes
-// (Results retains every observation, StreamStats retains none).
+// (Results retains every observation, StreamStats takes ObsBlocks and
+// never touches the arena).
 type improveArena struct {
 	block []ImproveEntry
 }
@@ -364,22 +351,10 @@ func cityPropDelays(w *sim.World) []time.Duration {
 	return m
 }
 
-// runRound executes one round sequentially on slot 0, settling the
-// round's credits inline and emitting straight into sink — the classic
-// single-slot path RunStream takes when RoundPipeline <= 1.
-func (c *campaign) runRound(round int, sink Sink) (RoundInfo, error) {
-	info, _, err := c.roundExec(&c.slots[0], round, sink, true)
-	return info, err
-}
-
-// roundExec is the round body shared by the sequential and pipelined
-// executors. It runs every measurement phase of the round on the given
-// slot and stitches the round's observations into emit. With
-// settleInline the round's credits are charged against the ledger
-// between measurement and stitching (sequential semantics); otherwise
-// the charge is only recorded as a reservation for the emitter to
-// settle in round order.
-func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline bool) (RoundInfo, atlas.Reservation, error) {
+// roundExec runs every measurement phase of one round on the given slot
+// and stitches the round's observations into the slot's block. Credits
+// are charged later, by the release step, in round order.
+func (c *campaign) roundExec(slot *roundSlot, round int) (RoundInfo, error) {
 	start := c.cfg.Start.Add(time.Duration(round) * c.cfg.RoundInterval)
 	info := RoundInfo{Round: round, Start: start}
 	scr := &slot.scr
@@ -503,7 +478,7 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 	})
 	c.flushPings(scr, &pings)
 	if err != nil {
-		return info, atlas.Reservation{}, err
+		return info, err
 	}
 
 	// Step 3 (feasibility half): relays worth measuring per pair, and
@@ -707,36 +682,15 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 	})
 	c.flushPings(scr, &pings)
 	if err != nil {
-		return info, atlas.Reservation{}, err
+		return info, err
 	}
 
-	// Credits: all pings of this round land on its calendar day. The
-	// sequential path settles the charge here, before stitching, exactly
-	// as it always has; the pipelined path records a reservation for the
-	// emitter to settle at the round's in-order emission, so out-of-order
-	// execution can never consume budget ahead of an earlier round.
-	day := int(start.Sub(c.cfg.Start).Hours() / 24)
-	resv := atlas.Reserve(day, pings.Load()*atlas.PingCost)
-	if settleInline {
-		if err := c.ledger.Settle(resv); err != nil {
-			return info, resv, err
-		}
-	}
 	info.PingsSent = pings.Load()
 
-	// Step 4 (stitching): build observations in pair order, into the
-	// real sink (sequential) or the slot's buffer (pipelined). Every
-	// observation field is a column read; leg medians come back through
-	// the bitset rank lookup. Sinks that understand columnar delivery
-	// (BlockSink) receive the round as one reused column block instead
-	// of per-observation Emit calls — same values, no per-observation
-	// arena copy or interface dispatch. The pipelined executor buffers
-	// through obsBuffer (not a BlockSink), so blocks flow on the
-	// sequential path.
-	blockSink, _ := emit.(BlockSink)
-	if blockSink != nil {
-		slot.block.reset(round)
-	}
+	// Step 4 (stitching): build observations in pair order into the
+	// slot's block. Every observation field is a column read; leg medians
+	// come back through the bitset rank lookup.
+	slot.block.reset(round)
 	for it := newPairIter(plan); it.next(); {
 		k := it.k
 		if fwd[k] == 0 {
@@ -778,28 +732,11 @@ func (c *campaign) roundExec(slot *roundSlot, round int, emit Sink, settleInline
 				slot.improving = append(slot.improving, ImproveEntry{Relay: int32(ri), RelayedMs: stitched})
 			}
 		}
-		if blockSink != nil {
-			// Columnar delivery: the improving entries copy straight into
-			// the block's flat buffer (the block is reused per slot, so no
-			// arena escape bookkeeping is needed).
-			slot.block.append(&o, slot.improving)
-		} else {
-			// Improving entries escape into the sink, so they get an
-			// exact-size arena copy: the scratch absorbs the append growth,
-			// the observation retains not an entry more than it owns.
-			if len(slot.improving) > 0 {
-				o.Improving = slot.arena.alloc(len(slot.improving))
-				copy(o.Improving, slot.improving)
-			}
-			emit.Emit(o)
-		}
+		slot.block.append(&o, slot.improving)
 		info.PairsUsable++
 	}
-	if blockSink != nil {
-		blockSink.EmitBlock(&slot.block)
-	}
 	c.executed.Add(1)
-	return info, resv, nil
+	return info, nil
 }
 
 // draftEndpoints draws the round's endpoint rows over the world's draft
@@ -930,12 +867,7 @@ func (c *campaign) medianRTT(view latency.View, s *scratch, a, b latency.Endpoin
 // use for direct pairs that will never be seen again. Both paths
 // produce identical medians.
 func (c *campaign) medianRTTIn(view latency.View, s *scratch, a, b latency.Endpoint, round int, hourFrac []float64, oneShot bool) (float32, int, error) {
-	n := c.cfg.PingsPerPair
-	if cap(s.train) < n {
-		s.train = make([]latency.PingSample, n)
-		s.vals = make([]float64, 0, n)
-	}
-	train := s.train[:n]
+	train := s.trainBuf(c.cfg.PingsPerPair)
 	var err error
 	if oneShot {
 		err = view.PingTrainOneShotSched(a, b, round, hourFrac, train, &s.ps)
@@ -945,16 +877,7 @@ func (c *campaign) medianRTTIn(view latency.View, s *scratch, a, b latency.Endpo
 	if err != nil {
 		return 0, 0, err
 	}
-	vals := s.vals[:0]
-	for i := range train {
-		if train[i].OK {
-			vals = append(vals, float64(train[i].RTT)/float64(time.Millisecond))
-		}
-	}
-	if len(vals) < c.cfg.MinValidPings {
-		return 0, n, nil
-	}
-	return float32(median(vals)), n, nil
+	return c.trainMedian(s, train), len(train), nil
 }
 
 // legChunk is how many leg jobs a worker gathers per batch resolve —
@@ -966,13 +889,24 @@ const legChunk = 16
 // medianFromHandle is medianRTTIn for a batch-resolved pair: the train
 // is priced off the PairHandle, so no per-pair cache traffic remains.
 func (c *campaign) medianFromHandle(view latency.View, s *scratch, h *latency.PairHandle, round int, hourFrac []float64) (float32, int) {
-	n := c.cfg.PingsPerPair
+	train := s.trainBuf(c.cfg.PingsPerPair)
+	view.PingTrainSchedHandle(h, round, hourFrac, train)
+	return c.trainMedian(s, train), len(train)
+}
+
+// trainBuf returns the worker's n-ping train buffer, sizing it (and the
+// median buffer) on first use.
+func (s *scratch) trainBuf(n int) []latency.PingSample {
 	if cap(s.train) < n {
 		s.train = make([]latency.PingSample, n)
 		s.vals = make([]float64, 0, n)
 	}
-	train := s.train[:n]
-	view.PingTrainSchedHandle(h, round, hourFrac, train)
+	return s.train[:n]
+}
+
+// trainMedian returns the median of a train's answered pings in
+// milliseconds, or 0 when fewer than MinValidPings replies arrived.
+func (c *campaign) trainMedian(s *scratch, train []latency.PingSample) float32 {
 	vals := s.vals[:0]
 	for i := range train {
 		if train[i].OK {
@@ -980,9 +914,9 @@ func (c *campaign) medianFromHandle(view latency.View, s *scratch, h *latency.Pa
 		}
 	}
 	if len(vals) < c.cfg.MinValidPings {
-		return 0, n
+		return 0
 	}
-	return float32(median(vals)), n
+	return float32(median(vals))
 }
 
 // median returns the exact median of vals, sorting in place. Ping trains

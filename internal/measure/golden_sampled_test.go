@@ -11,7 +11,7 @@ import (
 // TestSampledGoldenStreamDigests pins the PairBudget sampling mode the
 // same way TestGoldenStreamDigests pins the exhaustive mode: SHA-256
 // over the full emitted stream, run across the scheduling matrix
-// (Concurrency 1 and 8 x latency-cache shards 1 and 8 x round-pipeline
+// (Concurrency 1 and 8 x latency-cache shards 1 and 8 x forced pipeline
 // depth 1, 2 and 8). The digests were recorded at Concurrency 1,
 // shards 1, depth 1 when sampling landed; every other cell passing
 // proves the sampled plan and everything downstream of it derive from
@@ -58,7 +58,6 @@ func TestSampledGoldenStreamDigests(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					cfg := QuickConfig(tc.rounds)
 					cfg.Concurrency = sch.concurrency
-					cfg.RoundPipeline = pipe
 					cfg.PairBudget = tc.budget
 					cfg.EndpointsPerCountry = tc.perCountry
 					// The epc4 case's enlarged endpoint population sends
@@ -74,7 +73,7 @@ func TestSampledGoldenStreamDigests(t *testing.T) {
 						cfg.Scenario = sc
 					}
 					sink := newDigestSink()
-					if err := RunStream(w, cfg, sink); err != nil {
+					if err := runAtDepth(w, cfg, pipe, sink); err != nil {
 						t.Fatal(err)
 					}
 					if got := sink.sum(); got != tc.want {

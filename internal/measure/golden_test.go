@@ -73,14 +73,15 @@ func (s *digestSink) sum() string { return fmt.Sprintf("%x", s.h.Sum(nil)) }
 //
 // Each golden configuration runs across the full scheduling matrix —
 // measurement Concurrency 1 and 8, latency-cache shards 1 and 8, and
-// round-pipeline depth 1, 2 and 8 — and the set spans scenario off,
+// pipeline depth 1, 2 and 8 (forced through newCampaignDepth) — and
+// the set spans scenario off,
 // scenario on (outage and churn presets), and the feasibility-filter
 // ablation, so the memoized filter, the scratch arena, the cache
-// layout, and the pipelined executor's ordered emission are all proven
+// layout, and the executor's ordered release are all proven
 // bit-compatible with the historical stream, not merely
-// self-consistent. The digests themselves predate the pipelined
-// executor: passing at every depth is the proof that pipelining is
-// invisible in the stream.
+// self-consistent. The digests themselves predate overlapping rounds:
+// passing at every depth is the proof that the overlap is invisible in
+// the stream.
 func TestGoldenStreamDigests(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -129,7 +130,6 @@ func TestGoldenStreamDigests(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					cfg := QuickConfig(tc.rounds)
 					cfg.Concurrency = sch.concurrency
-					cfg.RoundPipeline = pipe
 					cfg.DisableFeasibilityFilter = tc.noFilt
 					if tc.preset != "" {
 						sc, err := scenario.ByName(tc.preset)
@@ -139,7 +139,7 @@ func TestGoldenStreamDigests(t *testing.T) {
 						cfg.Scenario = sc
 					}
 					sink := newDigestSink()
-					if err := RunStream(w, cfg, sink); err != nil {
+					if err := runAtDepth(w, cfg, pipe, sink); err != nil {
 						t.Fatal(err)
 					}
 					if got := sink.sum(); got != tc.want {

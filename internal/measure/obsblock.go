@@ -13,10 +13,10 @@ import (
 // duration of EmitBlock, and sinks must copy anything they keep.
 // RoundDone is still delivered separately, after the block.
 //
-// The block carries exactly the values the classic stream carries (the
-// stitch loop fills both from the same computation), so a BlockSink
-// folding columns must equal the same sink folding Emit calls — the
-// equivalence test pins that for StreamStats.
+// The block carries exactly the values the classic stream carries (a
+// plain Sink's Emit calls are read back from the same block, row by
+// row), so a BlockSink folding columns must equal the same sink folding
+// Emit calls — the equivalence test pins that for StreamStats.
 type BlockSink interface {
 	Sink
 	EmitBlock(b *ObsBlock)

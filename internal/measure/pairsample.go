@@ -14,7 +14,7 @@ import "slices"
 // algorithm from a stream keyed by (campaign seed, "pairs", round,
 // stratum): no draw depends on scheduling or on any other stratum, so
 // the sampled plan is bit-identical at any Concurrency, shard count or
-// RoundPipeline depth, and any stratum's sample can be regenerated in
+// pipeline depth, and any stratum's sample can be regenerated in
 // isolation.
 
 // sampleKey identifies one Floyd draw for the per-round dedup map:

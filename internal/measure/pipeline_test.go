@@ -3,6 +3,7 @@ package measure
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -12,22 +13,125 @@ import (
 	"shortcuts/internal/sim"
 )
 
-// runCollected runs a campaign into a collectSink and returns the
-// materialized stream (plus the error, for exhaustion tests).
-func runCollected(t *testing.T, w *sim.World, cfg Config) (*collectSink, error) {
-	t.Helper()
+// runAtDepth runs a campaign on k pipeline slots (see newCampaignDepth).
+func runAtDepth(w *sim.World, cfg Config, k int, sink Sink) error {
+	c, err := newCampaignDepth(w, cfg, k)
+	if err != nil {
+		return err
+	}
+	return c.run(sink)
+}
+
+// runCollected runs a campaign at depth k into a collectSink and returns
+// the materialized stream (plus the error, for exhaustion tests).
+func runCollected(w *sim.World, cfg Config, k int) (*collectSink, error) {
 	var sink collectSink
-	err := RunStream(w, cfg, &sink)
+	err := runAtDepth(w, cfg, k, &sink)
 	return &sink, err
 }
 
-// TestPipelineMatchesSequential proves the tentpole contract fully
+// runOneRound executes one round on slot 0 and releases it to sink, as
+// the executor does for each round of a depth-1 campaign.
+func runOneRound(c *campaign, round int, sink Sink) (RoundInfo, error) {
+	slot := &c.slots[0]
+	slot.info, slot.err = c.roundExec(slot, round)
+	return slot.info, c.release(slot, sink)
+}
+
+// TestRoundDepth pins the derived executor shape: two slots when the
+// core budget has two cores and the campaign two rounds, one under a
+// SelfHeal controller; the budget splits evenly across the slots.
+func TestRoundDepth(t *testing.T) {
+	heal := &maskController{}
+	cases := []struct {
+		conc, rounds, force int
+		selfHeal            bool
+		wantDepth, wantWork int
+	}{
+		{1, 45, 0, false, 1, 1},
+		{2, 45, 0, false, 2, 1},
+		{8, 45, 0, false, 2, 4},
+		{7, 45, 0, false, 2, 3},
+		{8, 1, 0, false, 1, 8},  // nothing to overlap
+		{8, 45, 0, true, 1, 8},  // feedback edge: one round at a time
+		{1, 45, 8, false, 8, 1}, // forced depth, budget floored at one worker
+		{8, 3, 8, false, 3, 2},  // forced depth clamped to the rounds
+		{8, 45, 8, true, 1, 8},  // forcing never overrides the feedback edge
+	}
+	for _, tc := range cases {
+		cfg := QuickConfig(tc.rounds)
+		cfg.Concurrency = tc.conc
+		if tc.selfHeal {
+			cfg.SelfHeal = heal
+		}
+		depth, workers := roundDepth(cfg, tc.force)
+		if depth != tc.wantDepth || workers != tc.wantWork {
+			t.Errorf("conc %d rounds %d force %d selfheal %v: depth %d workers %d, want %d and %d",
+				tc.conc, tc.rounds, tc.force, tc.selfHeal, depth, workers, tc.wantDepth, tc.wantWork)
+		}
+	}
+}
+
+// blockCounter is a BlockSink that counts how each round arrives.
+type blockCounter struct {
+	emits, blocks, rows int
+	rounds              []int
+}
+
+func (b *blockCounter) Emit(Observation) { b.emits++ }
+func (b *blockCounter) EmitBlock(blk *ObsBlock) {
+	b.blocks++
+	b.rows += blk.Len()
+	b.rounds = append(b.rounds, blk.Round)
+}
+func (b *blockCounter) RoundDone(RoundInfo) {}
+
+// TestEveryDepthDeliversBlocks pins the one delivery path: at every
+// depth a BlockSink gets exactly one EmitBlock per round, in round
+// order, and no Emit calls; a plain Sink gets, row for row, the stream
+// a depth-1 campaign delivers.
+func TestEveryDepthDeliversBlocks(t *testing.T) {
+	w, err := sim.Build(sim.SmallWorldParams(17))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := QuickConfig(4)
+	cfg.Concurrency = 2
+	ref, err := runCollected(w, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 2, 8} {
+		var bc blockCounter
+		if err := runAtDepth(w, cfg, k, &bc); err != nil {
+			t.Fatal(err)
+		}
+		if bc.blocks != cfg.Rounds || bc.emits != 0 || bc.rows != len(ref.obs) {
+			t.Fatalf("k=%d: %d blocks (%d rows) and %d Emit calls, want %d blocks (%d rows) and none",
+				k, bc.blocks, bc.rows, bc.emits, cfg.Rounds, len(ref.obs))
+		}
+		for i, r := range bc.rounds {
+			if r != i {
+				t.Fatalf("k=%d: block %d carries round %d", k, i, r)
+			}
+		}
+		got, err := runCollected(w, cfg, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("k=%d: plain-sink stream differs from depth 1", k)
+		}
+	}
+}
+
+// TestPipelineMatchesSequential proves the executor contract fully
 // in-memory (the golden-digest matrix proves it against history): for
 // static and churning worlds alike, every pipeline depth emits the
-// byte-identical observation stream and round summaries as the
-// sequential executor, in strict round order. Run with -race this also
-// proves the shared structures — feasibility memo, engine path-state
-// cache, atlas outage samplers — safe under concurrent rounds.
+// byte-identical observation stream and round summaries as depth 1, in
+// strict round order. Run with -race this also proves the shared
+// structures — feasibility memo, engine path-state cache, atlas outage
+// samplers — safe under concurrent rounds.
 func TestPipelineMatchesSequential(t *testing.T) {
 	w, err := sim.Build(sim.SmallWorldParams(41))
 	if err != nil {
@@ -45,7 +149,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 		cfg := QuickConfig(6)
 		cfg.Concurrency = 2
 		cfg.Scenario = sce.sc
-		seq, err := runCollected(t, w, cfg)
+		seq, err := runCollected(w, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,9 +158,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 				sce.name, len(seq.rounds), cfg.Rounds)
 		}
 		for _, k := range []int{2, 3, 8} {
-			pcfg := cfg
-			pcfg.RoundPipeline = k
-			piped, err := runCollected(t, w, pcfg)
+			piped, err := runCollected(w, cfg, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +171,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 					t.Fatalf("%s: round %d info differs:\npiped %+v\n  seq %+v", label, i, ri, seq.rounds[i])
 				}
 			}
-			observationsEqual(t, label, piped.results(pcfg), seq.results(cfg))
+			observationsEqual(t, label, piped.results(cfg), seq.results(cfg))
 		}
 	}
 }
@@ -79,7 +181,7 @@ func TestPipelineMatchesSequential(t *testing.T) {
 // the identical round, with the identical error, having emitted the
 // identical prefix stream, at every pipeline depth — even though at
 // depth 8 the failing round's successors have already executed by the
-// time the emitter settles the failing reservation.
+// time the release step charges the failing round.
 func TestPipelineLedgerExhaustion(t *testing.T) {
 	w, err := sim.Build(sim.SmallWorldParams(17))
 	if err != nil {
@@ -92,14 +194,14 @@ func TestPipelineLedgerExhaustion(t *testing.T) {
 	// a daily limit that admits round 0 but not round 1 (both land on
 	// day 0 with the 12 h interval): exhaustion strikes while later
 	// rounds are mid-flight in the deep pipeline.
-	probe, err := runCollected(t, w, cfg)
+	probe, err := runCollected(w, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cost := func(r int) int64 { return probe.rounds[r].PingsSent * atlas.PingCost }
 	cfg.DailyCreditLimit = cost(0) + cost(1)/2
 
-	seq, seqErr := runCollected(t, w, cfg)
+	seq, seqErr := runCollected(w, cfg, 1)
 	if seqErr == nil {
 		t.Fatal("sequential campaign did not exhaust the budget")
 	}
@@ -112,9 +214,7 @@ func TestPipelineLedgerExhaustion(t *testing.T) {
 	}
 
 	for _, k := range []int{2, 8} {
-		pcfg := cfg
-		pcfg.RoundPipeline = k
-		piped, pipedErr := runCollected(t, w, pcfg)
+		piped, pipedErr := runCollected(w, cfg, k)
 		if pipedErr == nil {
 			t.Fatalf("k=%d: pipelined campaign did not exhaust the budget", k)
 		}
@@ -126,7 +226,7 @@ func TestPipelineLedgerExhaustion(t *testing.T) {
 				k, len(piped.rounds), len(seq.rounds))
 		}
 		label := fmt.Sprintf("exhaustion-prefix/k%d", k)
-		observationsEqual(t, label, piped.results(pcfg), seq.results(cfg))
+		observationsEqual(t, label, piped.results(cfg), seq.results(cfg))
 	}
 }
 
@@ -148,8 +248,7 @@ func TestPipelinedSteadyStateSlotAllocs(t *testing.T) {
 	cfg := QuickConfig(2 * k)
 	cfg.Concurrency = 1
 	cfg.DailyCreditLimit = 0
-	cfg.RoundPipeline = k
-	c, err := newCampaign(w, cfg)
+	c, err := newCampaignDepth(w, cfg, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +256,9 @@ func TestPipelinedSteadyStateSlotAllocs(t *testing.T) {
 		t.Fatalf("campaign has %d slots, want %d", len(c.slots), k)
 	}
 	// Warm every slot with both of its statically assigned rounds, as
-	// the pipelined executor would (round r runs on slot r % K).
+	// the executor would (round r runs on slot r % K).
 	for r := 0; r < cfg.Rounds; r++ {
-		if _, _, err := c.roundExec(&c.slots[r%k], r, discardSink{}, true); err != nil {
+		if _, err := c.roundExec(&c.slots[r%k], r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +266,7 @@ func TestPipelinedSteadyStateSlotAllocs(t *testing.T) {
 		slot := &c.slots[s]
 		round := k + s // warm shape for this slot
 		avg := testing.AllocsPerRun(3, func() {
-			if _, _, err := c.roundExec(slot, round, discardSink{}, true); err != nil {
+			if _, err := c.roundExec(slot, round); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -229,13 +328,12 @@ func TestPipelineSinkBackpressure(t *testing.T) {
 		}
 		cfg := QuickConfig(8)
 		cfg.Concurrency = 1
-		cfg.RoundPipeline = k
-		c, err := newCampaign(w, cfg)
+		c, err := newCampaignDepth(w, cfg, k)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sink := &slowSink{c: c, delay: delay}
-		if err := c.runPipelined(sink); err != nil {
+		if err := c.run(sink); err != nil {
 			t.Fatal(err)
 		}
 		if sink.emitted != cfg.Rounds {

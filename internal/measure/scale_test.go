@@ -85,13 +85,12 @@ func TestFastAvailabilityGoldenDigests(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/c%d-k%d", tc.name, conc, pipe), func(t *testing.T) {
 					cfg := QuickConfig(tc.rounds)
 					cfg.Concurrency = conc
-					cfg.RoundPipeline = pipe
 					cfg.PairBudget = tc.budget
 					cfg.EndpointsPerCountry = tc.perCountry
 					cfg.DailyCreditLimit = 0
 					cfg.FastAvailability = true
 					sink := newDigestSink()
-					if err := RunStream(w, cfg, sink); err != nil {
+					if err := runAtDepth(w, cfg, pipe, sink); err != nil {
 						t.Fatal(err)
 					}
 					if got := sink.sum(); got != tc.want {
@@ -105,7 +104,7 @@ func TestFastAvailabilityGoldenDigests(t *testing.T) {
 
 // TestOneShotPricingAllocs pins the one-shot pricing fast path to zero
 // steady-state allocations: after the path scratch has grown once, a
-// PingTrainOneShot over an uncached pair — the sampled-round hot case,
+// PingTrainOneShotSched over an uncached pair — the sampled-round hot case,
 // where the state is computed on the stack and never admitted to the
 // cache — must not touch the heap.
 func TestOneShotPricingAllocs(t *testing.T) {
@@ -122,13 +121,14 @@ func TestOneShotPricingAllocs(t *testing.T) {
 	pa, pb := probes[0], probes[len(probes)-1]
 	view := w.Engine.View(nil)
 	samples := make([]latency.PingSample, 6)
+	hourFrac := latency.SlotHourFracs(time.Unix(0, 0), time.Minute, len(samples), nil)
 	var ps latency.PathScratch
 	// Warm once: grows the scratch's path buffers.
-	if err := view.PingTrainOneShot(pa.Endpoint(), pb.Endpoint(), 0, time.Unix(0, 0), time.Minute, samples, &ps); err != nil {
+	if err := view.PingTrainOneShotSched(pa.Endpoint(), pb.Endpoint(), 0, hourFrac, samples, &ps); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := view.PingTrainOneShot(pa.Endpoint(), pb.Endpoint(), 1, time.Unix(0, 0), time.Minute, samples, &ps); err != nil {
+		if err := view.PingTrainOneShotSched(pa.Endpoint(), pb.Endpoint(), 1, hourFrac, samples, &ps); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -68,6 +68,12 @@ func poisonScratch(c *campaign, ne, nr int) {
 		scr.feasible[i] = scr.feasBuf[i : i+1]
 	}
 	scr.feasOff[np] = np
+	// A stale block from the larger round: rows, and improving entries,
+	// that must not survive into the next round's delivery.
+	slot.block.reset(-1)
+	for i := 0; i < np; i++ {
+		slot.block.append(&Observation{DirectMs: 99}, []ImproveEntry{{Relay: 1, RelayedMs: 1}})
+	}
 	scr.probes = make([]*atlas.Probe, ne)
 	scr.eps = make([]int32, ne)
 	scr.activeOf = make([]int32, ne)
@@ -108,7 +114,7 @@ func poisonScratch(c *campaign, ne, nr int) {
 	for i := range slot.improving {
 		slot.improving[i] = ImproveEntry{Relay: int32(i), RelayedMs: 1}
 	}
-	slot.arena.block = make([]ImproveEntry, improveArenaBlock/2, improveArenaBlock)
+	c.arena.block = make([]ImproveEntry, improveArenaBlock/2, improveArenaBlock)
 }
 
 // TestShrinkingWorldNoStaleScratch is the cross-round scratch-hygiene
@@ -138,11 +144,9 @@ func TestShrinkingWorldNoStaleScratch(t *testing.T) {
 		t.Fatal(err)
 	}
 	var freshOut collectSink
-	info, err := fresh.runRound(1, &freshOut)
-	if err != nil {
+	if _, err := runOneRound(fresh, 1, &freshOut); err != nil {
 		t.Fatal(err)
 	}
-	freshOut.RoundDone(info)
 
 	// Poisoned path: the same round over a scratch arena sized for a
 	// vastly larger previous round and filled with would-leak values.
@@ -152,11 +156,9 @@ func TestShrinkingWorldNoStaleScratch(t *testing.T) {
 	}
 	poisonScratch(poisoned, 160, 700)
 	var poisonedOut collectSink
-	info, err = poisoned.runRound(1, &poisonedOut)
-	if err != nil {
+	if _, err := runOneRound(poisoned, 1, &poisonedOut); err != nil {
 		t.Fatal(err)
 	}
-	poisonedOut.RoundDone(info)
 	observationsEqual(t, "poisoned-oversized-scratch",
 		poisonedOut.results(cfg), freshOut.results(cfg))
 
@@ -167,15 +169,13 @@ func TestShrinkingWorldNoStaleScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := warm.runRound(0, discardSink{}); err != nil {
+	if _, err := runOneRound(warm, 0, discardSink{}); err != nil {
 		t.Fatal(err)
 	}
 	var warmOut collectSink
-	info, err = warm.runRound(1, &warmOut)
-	if err != nil {
+	if _, err := runOneRound(warm, 1, &warmOut); err != nil {
 		t.Fatal(err)
 	}
-	warmOut.RoundDone(info)
 	observationsEqual(t, "warm-round-after-round0",
 		warmOut.results(cfg), freshOut.results(cfg))
 }
@@ -204,12 +204,12 @@ func TestSteadyStateRoundAllocs(t *testing.T) {
 	// Warm everything: scratch capacities, feasibility memo entries,
 	// engine path-state cache.
 	for r := 0; r < 2; r++ {
-		if _, err := c.runRound(r, discardSink{}); err != nil {
+		if _, err := runOneRound(c, r, discardSink{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	avg := testing.AllocsPerRun(3, func() {
-		if _, err := c.runRound(1, discardSink{}); err != nil {
+		if _, err := runOneRound(c, 1, discardSink{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -131,30 +131,42 @@ func TestSelfHealNilControllerIdentical(t *testing.T) {
 }
 
 // TestSelfHealPipelineClamp pins the feedback-edge rule from the
-// measure side: with a controller configured, RoundPipeline depths 1
-// and 8 must produce identical streams (the campaign clamps the
-// pipeline so round r+1 cannot start before round r's detections).
+// measure side: a campaign with a controller derives depth 1 from a
+// core budget that would otherwise run two rounds at once (the
+// controller must see round r before round r+1 is planned), and even a
+// forced depth-8 campaign streams exactly what depth 1 does.
 func TestSelfHealPipelineClamp(t *testing.T) {
 	w := buildSelfHealWorld(t)
 	mask := make([]bool, len(w.Catalog.Relays))
 	for i := 0; i < len(mask); i += 3 {
 		mask[i] = true
 	}
+	cfg := QuickConfig(6)
+	cfg.Concurrency = 8
+	if c, err := newCampaign(w, cfg); err != nil || len(c.slots) != 2 {
+		t.Fatalf("calm campaign with budget 8: %v, want 2 slots", err)
+	}
 	var streams []*Results
-	for _, depth := range []int{1, 8} {
-		cfg := QuickConfig(6)
-		cfg.RoundPipeline = depth
+	for _, depth := range []int{0, 8} {
 		cfg.SelfHeal = &maskController{FromRound: 2, Mask: mask}
+		c, err := newCampaignDepth(w, cfg, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.slots) != 1 || c.workers != 8 {
+			t.Fatalf("self-heal campaign (forced depth %d): %d slots x %d workers, want 1 x 8",
+				depth, len(c.slots), c.workers)
+		}
 		res := NewResults(cfg, w)
-		if err := RunStream(w, cfg, res); err != nil {
+		if err := c.run(res); err != nil {
 			t.Fatal(err)
 		}
 		streams = append(streams, res)
 	}
 	if !reflect.DeepEqual(streams[0].Observations, streams[1].Observations) {
-		t.Fatal("self-heal stream diverged between RoundPipeline 1 and 8")
+		t.Fatal("self-heal stream diverged between derived and forced depth")
 	}
 	if !reflect.DeepEqual(streams[0].Rounds, streams[1].Rounds) {
-		t.Fatal("self-heal round summaries diverged between RoundPipeline 1 and 8")
+		t.Fatal("self-heal round summaries diverged between derived and forced depth")
 	}
 }

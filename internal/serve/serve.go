@@ -56,8 +56,8 @@ type Options struct {
 	// PairBudget caps endpoint pairs measured per warm-campaign round
 	// (0 = exhaustive).
 	PairBudget int
-	// Concurrency bounds the warm campaign's per-round worker pool
-	// (0 = GOMAXPROCS-derived).
+	// Concurrency is the warm campaign's core budget (0 = GOMAXPROCS;
+	// see measure.Config.Concurrency).
 	Concurrency int
 	// SelfHeal closes the healing loop in warm campaigns: confirmed
 	// disruptions exclude the suspect city's relays and re-plan mid-

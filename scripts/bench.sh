@@ -23,10 +23,12 @@
 #   (BENCH_PR5's rebuild-per-campaign moved 995→1064ms with no code
 #   change on that path), so the trajectory averages a fixed iteration
 #   count over the pinned small-world workload to compare like with
-#   like. The round-pipeline benchmarks (BenchmarkCampaignRoundPipelined
-#   k1/k2/k8 and BenchmarkSweep/shared-world-pipelined) record how
-#   round-level and campaign-level parallelism compose; on a single-core
-#   runner the depths tie by design. The scale-tier benchmark
+#   like. The round-pipeline benchmark (BenchmarkCampaignRoundPipelined
+#   at forced depths k1/k2/k8) records what overlapping rounds buys —
+#   the measurement behind the campaign's derived depth of 2 — and
+#   BenchmarkSweep/shared-world-parallel records what overlapping
+#   campaigns buys over shared-world; on a single-core runner both tie
+#   by design. The scale-tier benchmark
 #   (BenchmarkMillionEndpointRound/100k) runs one warm sampled round
 #   over a ~100k-endpoint world and records the derived endpoints/sec
 #   throughput alongside ns/op; the 1M tier is opt-in via
@@ -246,7 +248,7 @@ echo "== campaign steady-state + feasibility benchmarks (internal/measure) ==" >
 # shellcheck disable=SC2046
 go test -run '^$' -bench "$MEASURE_BENCH" -benchtime=10x -benchmem $(profile_flags steady) ./internal/measure/ | tee -a "$raw" >&2
 
-echo "== round-pipeline benchmarks (24-round warm campaign, K=1/2/8) ==" >&2
+echo "== round-pipeline benchmarks (24-round warm campaign, forced K=1/2/8) ==" >&2
 go test -run '^$' -bench "$PIPELINE_BENCH" -benchtime=1x -benchmem ./internal/measure/ | tee -a "$raw" >&2
 
 echo "== scale-tier benchmark (100k-endpoint sampled round; SHORTCUTS_BENCH_1M=1 adds 1M) ==" >&2
