@@ -35,39 +35,26 @@ func benchEngine(b *testing.B) (*Engine, Endpoint, Endpoint) {
 	return benchEng, benchA, benchB
 }
 
-// BenchmarkPingHotPath times one simulated ping against a warmed path
-// cache — the campaign's innermost operation (~190k per round, millions
-// per campaign). This is the headline number of the allocation-free
-// hot-path work: ns/op and allocs/op here bound the whole campaign.
-func BenchmarkPingHotPath(b *testing.B) {
-	e, x, y := benchEngine(b)
-	if _, _, err := e.Ping(x, y, 0, 0, benchTime); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := e.Ping(x, y, i>>3, i&7, benchTime); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPingTrain times one whole 6-ping train through the batched
-// API: key, hash, cache lookup and direction factor are resolved once
-// for the train instead of once per slot.
+// BenchmarkPingTrain times the campaign's innermost operation against a
+// warmed path cache: resolve one pair, then price its whole 6-ping
+// train off the handle. ns/op and allocs/op here bound every campaign.
 func BenchmarkPingTrain(b *testing.B) {
 	e, x, y := benchEngine(b)
+	v := e.View(nil)
+	pairs := []EndpointPair{{A: x, B: y}}
+	handles := make([]PairHandle, 1)
+	hf := SlotHourFracs(benchTime, 5*time.Minute, 6, nil)
 	out := make([]PingSample, 6)
-	if err := e.PingTrain(x, y, 0, benchTime, 5*time.Minute, out); err != nil {
+	if err := v.Resolve(pairs, handles, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.PingTrain(x, y, i, benchTime, 5*time.Minute, out); err != nil {
+		if err := v.Resolve(pairs, handles, nil); err != nil {
 			b.Fatal(err)
 		}
+		v.PingTrain(&handles[0], i, hf, out)
 	}
 }
 

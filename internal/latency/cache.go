@@ -19,7 +19,7 @@ import (
 // Locklessness here is not about contention (shards are plentiful): a
 // warm scale-tier round performs millions of reads whose RWMutex
 // acquire/release atomics were pure overhead, and — more importantly —
-// it lets batched lookups (ResolveBatch) touch many shards' slots in
+// it lets batched lookups (View.Resolve) touch many shards' slots in
 // flight at once without juggling lock ordering.
 type cacheShard struct {
 	mu  sync.Mutex

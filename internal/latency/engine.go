@@ -15,12 +15,14 @@
 // identity, round, slot), never from call order, so concurrent campaigns
 // are bit-for-bit reproducible.
 //
-// The ping path is allocation-free: per-ping draws come from value-type
+// Pricing is two calls: View.Resolve turns endpoint pairs into
+// PairHandles (path state, draw identity, direction factor, overlay
+// effect), and View.PingTrain prices a train off one handle. Both are
+// allocation-free once warm: per-ping draws come from value-type
 // rng.Streams (a Derive is a hash, not a generator allocation), pair
 // identities are hashed with an inlined FNV-1a over fixed-size buffers,
-// and the cached pathState carries the precomputed congestion-scaled
-// static RTT and per-direction asymmetry factors, so a warm-cache Ping
-// touches no heap at all.
+// and the pathState carries the precomputed congestion-scaled static
+// RTT and per-direction asymmetry factors.
 package latency
 
 import (
@@ -150,28 +152,17 @@ func (e *Engine) Params() Params { return e.p }
 // NumShards reports the path-state cache shard count.
 func (e *Engine) NumShards() int { return len(e.shards) }
 
-// state returns (computing if needed) the deterministic path state.
-func (e *Engine) state(a, b Endpoint) (*pathState, error) {
-	return e.stateByKey(canonicalKey(a, b))
-}
-
-// stateByKey is the cache lookup. It hashes with the cheap tableHash —
-// not the pair's FNV draw identity — so the read path's critical chain
-// is a few multiplies ahead of the probe loads (see tableHash).
-func (e *Engine) stateByKey(key pairKey) (*pathState, error) {
-	return e.stateByHash(tableHash(key), key)
-}
-
-// stateByHash is stateByKey with the table hash already in hand (the
-// batched resolver computes it during its prefetch pass). The fast path
-// is a single lock-free shard lookup; only a miss takes the shard
-// mutex, and then solely to admit the freshly computed state.
+// stateByHash returns (computing and admitting if needed) the cached
+// path state of key, whose cheap table hash (tableHash, not the pair's
+// FNV draw identity) is h. The fast path is a single lock-free shard
+// lookup; only a miss takes the shard mutex, and then solely to admit
+// the freshly computed state.
 func (e *Engine) stateByHash(h uint64, key pairKey) (*pathState, error) {
 	s := &e.shards[e.shardOf(h)]
 	if st := s.lookup(h, key); st != nil {
 		return st, nil
 	}
-	computed, err := e.computeState(key)
+	computed, err := e.computeStateInto(key, new(PathScratch))
 	if err != nil {
 		return nil, err
 	}
@@ -184,16 +175,11 @@ func (e *Engine) stateByHash(h uint64, key pairKey) (*pathState, error) {
 	return st, nil
 }
 
-func (e *Engine) computeState(key pairKey) (pathState, error) {
-	var ps PathScratch
-	return e.computeStateInto(key, &ps)
-}
-
-// computeStateInto is computeState expanding the pair's paths into the
-// caller's scratch buffers, so repeated fresh-pair pricing (the one-shot
-// fast path) reuses two PopPaths instead of allocating two per pair.
-// The produced state is a pure function of the pair identity — exactly
-// what computeState returns.
+// computeStateInto computes the path state of key, expanding the pair's
+// paths into the caller's scratch buffers, so repeated fresh-pair
+// pricing (one-shot resolution) reuses two PopPaths instead of
+// allocating two per pair. The produced state is a pure function of the
+// pair identity.
 func (e *Engine) computeStateInto(key pairKey, ps *PathScratch) (pathState, error) {
 	lo, hi := key.lo, key.hi
 	if err := e.router.ExpandInto(&ps.fwd, lo.AS, lo.City, hi.AS, hi.City); err != nil {
@@ -280,17 +266,12 @@ func hashEndpointKey(h uint64, k EndpointKey, withAccess bool) uint64 {
 // plus the line-scaled access delays. This is what the medians of
 // repeated pings converge to at off-peak hours.
 func (e *Engine) BaseRTT(a, b Endpoint) (time.Duration, error) {
-	st, err := e.state(a, b)
+	key := canonicalKey(a, b)
+	st, err := e.stateByHash(tableHash(key), key)
 	if err != nil {
 		return 0, err
 	}
 	return time.Duration(st.static), nil
-}
-
-// diurnalFactor returns the load factor at time t for a path whose
-// midpoint is at longitude midLon: a sinusoid peaking at 21:00 local.
-func diurnalFactor(t time.Time, amp, midLon float64) float64 {
-	return diurnalFactorHour(hourFracOf(t), amp, midLon)
 }
 
 // hourFracOf is the UTC hour-of-day fraction of t — the pair-invariant
@@ -302,9 +283,9 @@ func hourFracOf(t time.Time) float64 {
 	return float64(u.Hour()) + float64(u.Minute())/60
 }
 
-// diurnalFactorHour is diurnalFactor on a pre-decomposed hour fraction.
-// The association (hourFrac first, then + midLon/15) matches the single
-// expression it replaced, so the factor is bit-identical.
+// diurnalFactorHour returns the load factor at UTC hour fraction
+// hourFrac for a path whose midpoint is at longitude midLon: a sinusoid
+// peaking at 21:00 local.
 func diurnalFactorHour(hourFrac, amp, midLon float64) float64 {
 	if amp == 0 {
 		return 1
@@ -318,7 +299,7 @@ func diurnalFactorHour(hourFrac, amp, midLon float64) float64 {
 // slots — t0, t0+interval, ... — to buf and returns it. Campaigns price
 // every train of a round on one slot schedule; precomputing the
 // fractions once per round removes the per-ping wall-time decomposition
-// from the scheduled train entry points (PingTrainSched).
+// from PingTrain.
 func SlotHourFracs(t0 time.Time, interval time.Duration, n int, buf []float64) []float64 {
 	for slot := 0; slot < n; slot++ {
 		buf = append(buf, hourFracOf(t0.Add(time.Duration(slot)*interval)))
@@ -326,14 +307,14 @@ func SlotHourFracs(t0 time.Time, interval time.Duration, n int, buf []float64) [
 	return buf
 }
 
-// pingSlot prices one ping slot against resolved path state: the shared
-// core of Ping and PingTrain. asym is the direction factor (fwdAsym or
-// revAsym) the caller resolved once per train; eff is the scenario
-// overlay effect for the pair (NeutralEffect when no scenario is
-// active). A neutral effect is draw-for-draw and bit-for-bit identical
-// to the pre-overlay pricing: Down skips draws only when set, ExtraLoss
-// consumes a draw only when positive, and multiplying by an RTTFactor
-// of exactly 1.0 is exact in IEEE 754.
+// pingSlot prices one ping slot against resolved path state: the core
+// of PingTrain. asym is the direction factor (fwdAsym or revAsym)
+// resolved once per handle; eff is the scenario overlay effect for the
+// pair (NeutralEffect when no scenario is active). A neutral effect is
+// draw-for-draw and bit-for-bit identical to the pre-overlay pricing:
+// Down skips draws only when set, ExtraLoss consumes a draw only when
+// positive, and multiplying by an RTTFactor of exactly 1.0 is exact in
+// IEEE 754.
 func (e *Engine) pingSlot(st *pathState, hp uint64, asym float64, round, slot int, hourFrac float64, eff Effect) (time.Duration, bool) {
 	if eff.Down {
 		return 0, false
@@ -359,39 +340,6 @@ func (e *Engine) pingSlot(st *pathState, hp uint64, asym float64, round, slot in
 		rtt += float64(spike)
 	}
 	return time.Duration(rtt * eff.RTTFactor), true
-}
-
-// resolvePair resolves everything a ping or train from a to b needs
-// exactly once: the cached path state, the pair hash (which doubles as
-// the per-ping RNG stream key), and the direction factor for the a->b
-// direction. Every pricing entry point — Engine.Ping, Engine.PingTrain
-// and their overlay View counterparts — goes through this one helper so
-// pair resolution cannot diverge between them.
-func (e *Engine) resolvePair(a, b Endpoint) (st *pathState, hp uint64, asym float64, err error) {
-	key := canonicalKey(a, b)
-	hp = hashPair(key)
-	st, err = e.stateByKey(key)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	asym = st.fwdAsym
-	if a.Key() != key.lo {
-		asym = st.revAsym
-	}
-	return st, hp, asym, nil
-}
-
-// Ping simulates one ping from a to b during measurement round `round`,
-// ping slot `slot`, at wall time t. It returns the observed RTT and
-// whether a reply arrived at all. Swapping a and b yields a slightly
-// different value (path asymmetry) drawn from the same path state.
-func (e *Engine) Ping(a, b Endpoint, round, slot int, t time.Time) (time.Duration, bool, error) {
-	st, hp, asym, err := e.resolvePair(a, b)
-	if err != nil {
-		return 0, false, err
-	}
-	rtt, ok := e.pingSlot(st, hp, asym, round, slot, hourFracOf(t), NeutralEffect())
-	return rtt, ok, nil
 }
 
 // Trace returns the forward PoP-level path from a to b (the city polyline

@@ -160,17 +160,14 @@ func TestAccessDelayCharged(t *testing.T) {
 func TestPingDeterministicPerSlot(t *testing.T) {
 	e := testEngine(t)
 	a, b := testEndpoints(t)
-	at := time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC)
-	r1, ok1, err1 := e.Ping(a, b, 3, 2, at)
-	r2, ok2, err2 := e.Ping(a, b, 3, 2, at)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
+	hf := flatSchedule(time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC), 4)
+	var t1, t2 [4]PingSample
+	price(t, e.View(nil), a, b, 3, hf, t1[:], nil)
+	price(t, e.View(nil), a, b, 3, hf, t2[:], nil)
+	if t1 != t2 {
+		t.Fatalf("same-slot pings differ: %v vs %v", t1, t2)
 	}
-	if r1 != r2 || ok1 != ok2 {
-		t.Fatalf("same-slot pings differ: %v/%v vs %v/%v", r1, ok1, r2, ok2)
-	}
-	r3, _, _ := e.Ping(a, b, 3, 3, at)
-	if r1 == r3 {
+	if t1[2].RTT == t1[3].RTT {
 		t.Fatal("different slots produced identical RTTs (no noise)")
 	}
 }
@@ -212,14 +209,12 @@ func TestPingDirectionNearlySymmetric(t *testing.T) {
 
 func medianPing(t *testing.T, e *Engine, a, b Endpoint, at time.Time) time.Duration {
 	t.Helper()
+	var train [6]PingSample
+	price(t, e.View(nil), a, b, 0, flatSchedule(at, len(train)), train[:], nil)
 	var vals []time.Duration
-	for s := 0; s < 6; s++ {
-		rtt, ok, err := e.Ping(a, b, 0, s, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok {
-			vals = append(vals, rtt)
+	for _, p := range train {
+		if p.OK {
+			vals = append(vals, p.RTT)
 		}
 	}
 	if len(vals) < 3 {
@@ -236,15 +231,12 @@ func medianPing(t *testing.T, e *Engine, a, b Endpoint, at time.Time) time.Durat
 func TestLossRateApproximate(t *testing.T) {
 	e := testEngine(t)
 	a, b := testEndpoints(t)
-	at := time.Date(2017, 4, 25, 9, 0, 0, 0, time.UTC)
+	const n = 4000
+	train := make([]PingSample, n)
+	price(t, e.View(nil), a, b, 99, flatSchedule(time.Date(2017, 4, 25, 9, 0, 0, 0, time.UTC), n), train, nil)
 	lost := 0
-	n := 4000
-	for s := 0; s < n; s++ {
-		_, ok, err := e.Ping(a, b, 99, s, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
+	for _, p := range train {
+		if !p.OK {
 			lost++
 		}
 	}
@@ -255,15 +247,15 @@ func TestLossRateApproximate(t *testing.T) {
 }
 
 func TestDiurnalFactorShape(t *testing.T) {
-	peak := diurnalFactor(time.Date(2017, 4, 20, 21, 0, 0, 0, time.UTC), 0.05, 0)
-	trough := diurnalFactor(time.Date(2017, 4, 20, 9, 0, 0, 0, time.UTC), 0.05, 0)
+	peak := diurnalFactorHour(hourFracOf(time.Date(2017, 4, 20, 21, 0, 0, 0, time.UTC)), 0.05, 0)
+	trough := diurnalFactorHour(hourFracOf(time.Date(2017, 4, 20, 9, 0, 0, 0, time.UTC)), 0.05, 0)
 	if peak <= trough {
 		t.Fatalf("peak %v <= trough %v", peak, trough)
 	}
 	if peak > 1.051 || trough < 0.999 {
 		t.Fatalf("diurnal out of band: peak %v trough %v", peak, trough)
 	}
-	if got := diurnalFactor(time.Now(), 0, 0); got != 1 {
+	if got := diurnalFactorHour(hourFracOf(time.Now()), 0, 0); got != 1 {
 		t.Fatalf("zero-amplitude factor = %v, want 1", got)
 	}
 }
@@ -317,12 +309,13 @@ func TestEngineDeterministicAcrossInstances(t *testing.T) {
 	}
 	e1, a1, b1 := build()
 	e2, a2, b2 := build()
-	at := time.Date(2017, 5, 1, 15, 0, 0, 0, time.UTC)
-	for s := 0; s < 20; s++ {
-		r1, ok1, _ := e1.Ping(a1, b1, 1, s, at)
-		r2, ok2, _ := e2.Ping(a2, b2, 1, s, at)
-		if r1 != r2 || ok1 != ok2 {
-			t.Fatalf("engines diverge at slot %d: %v vs %v", s, r1, r2)
+	hf := flatSchedule(time.Date(2017, 5, 1, 15, 0, 0, 0, time.UTC), 20)
+	var t1, t2 [20]PingSample
+	price(t, e1.View(nil), a1, b1, 1, hf, t1[:], nil)
+	price(t, e2.View(nil), a2, b2, 1, hf, t2[:], nil)
+	for s := range t1 {
+		if t1[s] != t2[s] {
+			t.Fatalf("engines diverge at slot %d: %v vs %v", s, t1[s], t2[s])
 		}
 	}
 }
@@ -338,7 +331,7 @@ func TestShardCountDoesNotAffectPings(t *testing.T) {
 	}
 	router := bgp.New(topo)
 	eyes := topo.ASesOfType(topology.Eyeball)
-	at := time.Date(2017, 4, 22, 18, 0, 0, 0, time.UTC)
+	hf := flatSchedule(time.Date(2017, 4, 22, 18, 0, 0, 0, time.UTC), 3)
 
 	var engines []*Engine
 	for _, shards := range []int{1, 2, 8, 64} {
@@ -352,19 +345,13 @@ func TestShardCountDoesNotAffectPings(t *testing.T) {
 	for i := 0; i < len(eyes)-1; i += 3 {
 		a := Endpoint{AS: eyes[i].ASN, City: eyes[i].HomeCity(), Access: 4 * time.Millisecond}
 		b := Endpoint{AS: eyes[i+1].ASN, City: eyes[i+1].HomeCity(), Access: 6 * time.Millisecond}
-		for slot := 0; slot < 3; slot++ {
-			ref, okRef, err := engines[0].Ping(a, b, 2, slot, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range engines[1:] {
-				rtt, ok, err := e.Ping(a, b, 2, slot, at)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rtt != ref || ok != okRef {
-					t.Fatalf("shards=%d diverges: %v/%v vs %v/%v", e.NumShards(), rtt, ok, ref, okRef)
-				}
+		var ref [3]PingSample
+		price(t, engines[0].View(nil), a, b, 2, hf, ref[:], nil)
+		for _, e := range engines[1:] {
+			var got [3]PingSample
+			price(t, e.View(nil), a, b, 2, hf, got[:], nil)
+			if got != ref {
+				t.Fatalf("shards=%d diverges: %v vs %v", e.NumShards(), got, ref)
 			}
 		}
 	}

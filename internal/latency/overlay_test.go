@@ -43,24 +43,6 @@ func overlayEndpoints(t *testing.T) (*Engine, Endpoint, Endpoint, int) {
 	return e, a, b, len(cachedTopo.Cities)
 }
 
-// TestViewNilOverlayMatchesEngine proves the neutral view is the bare
-// engine, slot for slot.
-func TestViewNilOverlayMatchesEngine(t *testing.T) {
-	e, a, b, _ := overlayEndpoints(t)
-	v := e.View(nil)
-	at := time.Date(2017, 4, 20, 12, 0, 0, 0, time.UTC)
-	for slot := 0; slot < 32; slot++ {
-		r1, ok1, err1 := e.Ping(a, b, 3, slot, at)
-		r2, ok2, err2 := v.Ping(a, b, 3, slot, at)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if r1 != r2 || ok1 != ok2 {
-			t.Fatalf("slot %d: nil-overlay view diverged: (%v %v) vs (%v %v)", slot, r1, ok1, r2, ok2)
-		}
-	}
-}
-
 // TestViewNeutralTablesMatchEngine proves an ACTIVE overlay whose
 // tables are all-neutral (factor 1, loss 0, nothing down) still prices
 // bit-identically: neutral multiplications are exact and neutral losses
@@ -68,16 +50,12 @@ func TestViewNilOverlayMatchesEngine(t *testing.T) {
 func TestViewNeutralTablesMatchEngine(t *testing.T) {
 	e, a, b, nc := overlayEndpoints(t)
 	v := e.View(neutralTables(nc))
-	at := time.Date(2017, 4, 21, 6, 0, 0, 0, time.UTC)
+	hf := SlotHourFracs(time.Date(2017, 4, 21, 6, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
 	train1 := make([]PingSample, 6)
 	train2 := make([]PingSample, 6)
 	for round := 0; round < 8; round++ {
-		if err := e.PingTrain(a, b, round, at, 5*time.Minute, train1); err != nil {
-			t.Fatal(err)
-		}
-		if err := v.PingTrain(a, b, round, at, 5*time.Minute, train2); err != nil {
-			t.Fatal(err)
-		}
+		price(t, e.View(nil), a, b, round, hf, train1, nil)
+		price(t, v, a, b, round, hf, train2, nil)
 		for s := range train1 {
 			if train1[s] != train2[s] {
 				t.Fatalf("round %d slot %d: neutral overlay diverged: %+v vs %+v",
@@ -94,15 +72,11 @@ func TestViewFactorScalesRTT(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.factor[a.City] = 2
 	v := e.View(ov)
-	at := time.Date(2017, 4, 21, 18, 0, 0, 0, time.UTC)
+	hf := SlotHourFracs(time.Date(2017, 4, 21, 18, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
 	base := make([]PingSample, 6)
 	pert := make([]PingSample, 6)
-	if err := e.PingTrain(a, b, 1, at, 5*time.Minute, base); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.PingTrain(a, b, 1, at, 5*time.Minute, pert); err != nil {
-		t.Fatal(err)
-	}
+	price(t, e.View(nil), a, b, 1, hf, base, nil)
+	price(t, v, a, b, 1, hf, pert, nil)
 	for s := range base {
 		if base[s].OK != pert[s].OK {
 			t.Fatalf("slot %d: loss outcome changed under pure factor overlay", s)
@@ -127,11 +101,9 @@ func TestViewDownMasksPings(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.down[b.City] = true
 	v := e.View(ov)
-	at := time.Date(2017, 4, 22, 0, 0, 0, 0, time.UTC)
+	hf := SlotHourFracs(time.Date(2017, 4, 22, 0, 0, 0, 0, time.UTC), 5*time.Minute, 6, nil)
 	out := make([]PingSample, 6)
-	if err := v.PingTrain(a, b, 0, at, 5*time.Minute, out); err != nil {
-		t.Fatal(err)
-	}
+	price(t, v, a, b, 0, hf, out, nil)
 	for s, p := range out {
 		if p.OK || p.RTT != 0 {
 			t.Fatalf("slot %d: ping succeeded through a downed city: %+v", s, p)
@@ -146,22 +118,17 @@ func TestViewExtraLossRate(t *testing.T) {
 	ov := neutralTables(nc)
 	ov.loss[a.City] = 0.5
 	v := e.View(ov)
-	at := time.Date(2017, 4, 22, 12, 0, 0, 0, time.UTC)
+	hf := flatSchedule(time.Date(2017, 4, 22, 12, 0, 0, 0, time.UTC), 1)
 	const rounds = 400
 	lostBase, lostOv := 0, 0
 	for round := 0; round < rounds; round++ {
-		_, ok1, err := e.Ping(a, b, round, 0, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok1 {
+		var p1, p2 [1]PingSample
+		price(t, e.View(nil), a, b, round, hf, p1[:], nil)
+		if !p1[0].OK {
 			lostBase++
 		}
-		_, ok2, err := v.Ping(a, b, round, 0, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok2 {
+		price(t, v, a, b, round, hf, p2[:], nil)
+		if !p2[0].OK {
 			lostOv++
 		}
 	}
@@ -173,8 +140,9 @@ func TestViewExtraLossRate(t *testing.T) {
 	}
 }
 
-// TestViewPingZeroAllocs pins the hot path under an ACTIVE overlay to
-// zero allocations, same as the bare engine.
+// TestViewPingZeroAllocs pins single-ping pricing under an ACTIVE
+// overlay — a cached resolve plus a one-slot train, as each call
+// varies the round and slot — to zero allocations.
 func TestViewPingZeroAllocs(t *testing.T) {
 	e, a, b, nc := overlayEndpoints(t)
 	ov := neutralTables(nc)
@@ -182,18 +150,24 @@ func TestViewPingZeroAllocs(t *testing.T) {
 	ov.loss[b.City] = 0.05
 	v := e.View(ov)
 	at := time.Date(2017, 4, 23, 12, 0, 0, 0, time.UTC)
-	if _, _, err := v.Ping(a, b, 0, 0, at); err != nil {
-		t.Fatal(err)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, _, err := v.Ping(a, b, i>>3, i&7, at); err != nil {
+	pairs := []EndpointPair{{A: a, B: b}}
+	handles := make([]PairHandle, 1)
+	hf := SlotHourFracs(at, 5*time.Minute, 8, nil)
+	out := make([]PingSample, 1)
+	ping := func(i int) {
+		if err := v.Resolve(pairs, handles, nil); err != nil {
 			t.Fatal(err)
 		}
+		v.PingTrain(&handles[0], i>>3, hf[i&7:i&7+1], out)
+	}
+	ping(0)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		ping(i)
 		i++
 	})
 	if allocs != 0 {
-		t.Fatalf("View.Ping with active overlay allocates %.1f/op, want 0", allocs)
+		t.Fatalf("single ping with active overlay allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -205,15 +179,16 @@ func TestViewPingTrainZeroAllocs(t *testing.T) {
 	ov.factor[a.City] = 1.3
 	v := e.View(ov)
 	at := time.Date(2017, 4, 23, 18, 0, 0, 0, time.UTC)
+	hf := SlotHourFracs(at, 5*time.Minute, 6, nil)
 	out := make([]PingSample, 6)
-	if err := v.PingTrain(a, b, 0, at, 5*time.Minute, out); err != nil {
+	var h [1]PairHandle
+	if err := v.Resolve([]EndpointPair{{A: a, B: b}}, h[:], nil); err != nil {
 		t.Fatal(err)
 	}
+	v.PingTrain(&h[0], 0, hf, out)
 	round := 0
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := v.PingTrain(a, b, round, at, 5*time.Minute, out); err != nil {
-			t.Fatal(err)
-		}
+		v.PingTrain(&h[0], round, hf, out)
 		round++
 	})
 	if allocs != 0 {

@@ -268,7 +268,7 @@ type roundScratch struct {
 	livePos     []int32   // relay positions not churned out this round
 	plan        pairPlan  // the round's pair universe (closed-form or sampled)
 	fwd, rev    []float32 // per pair: direct medians, both directions
-	workers     []scratch // per-worker medianRTT scratch
+	workers     []scratch // per-worker pricing scratch
 
 	// Leg demand over (active endpoint x relay position), as a bitset
 	// plus a prefix-popcount rank so measured medians pack into a
@@ -448,13 +448,14 @@ func (c *campaign) roundExec(slot *roundSlot, round int) (RoundInfo, error) {
 	fwd, rev := scr.fwd, scr.rev
 	clear(fwd)
 	clear(rev)
-	// Sampled rounds price direct pairs one-shot: the pair set changes
+	// Sampled rounds resolve direct pairs one-shot: the pair set changes
 	// every round at scale, so admitting their path states would churn
 	// the shared cache without ever serving a hit. Relay legs keep the
-	// cached path (relay populations recur across rounds). The one-shot
-	// path still reads the cache and computes the identical state — the
-	// emitted values are unchanged (path states are pure functions of
-	// pair identity).
+	// cached mode (relay populations recur across rounds). One-shot
+	// resolution still reads the cache and computes the identical state
+	// — the emitted values are unchanged (path states are pure functions
+	// of pair identity). Both directions go into one resolve, which
+	// computes the pair's shared state once.
 	oneShot := plan.idx != nil
 	var pings atomic.Int64
 	err := c.parallel(scr, np, func(s *scratch, k int) error {
@@ -464,14 +465,18 @@ func (c *campaign) roundExec(slot *roundSlot, round int) (RoundInfo, error) {
 			return nil
 		}
 		a, b := cols.Endpoint(eps[i]), cols.Endpoint(eps[j])
-		mf, nf, err := c.medianRTTIn(slot.view, s, a, b, round, hourFrac, oneShot)
-		if err != nil {
+		pairs, handles := s.batch(2)
+		pairs[0] = latency.EndpointPair{A: a, B: b}
+		pairs[1] = latency.EndpointPair{A: b, B: a}
+		var ps *latency.PathScratch
+		if oneShot {
+			ps = &s.ps
+		}
+		if err := slot.view.Resolve(pairs, handles, ps); err != nil {
 			return err
 		}
-		mr, nrev, err := c.medianRTTIn(slot.view, s, b, a, round, hourFrac, oneShot)
-		if err != nil {
-			return err
-		}
+		mf, nf := c.trainMedian(slot.view, s, &handles[0], round, hourFrac)
+		mr, nrev := c.trainMedian(slot.view, s, &handles[1], round, hourFrac)
 		fwd[k], rev[k] = mf, mr
 		s.pings += int64(nf + nrev)
 		return nil
@@ -647,8 +652,8 @@ func (c *campaign) roundExec(slot *roundSlot, round int) (RoundInfo, error) {
 	scr.legVals = grown(scr.legVals, len(legJobs))
 	legVals := scr.legVals
 	// Legs are priced in chunks: each worker gathers legChunk endpoint-
-	// relay pairs, batch-resolves their cached path states in one
-	// memory-parallel pass (latency.ResolveBatch — on a warm round this
+	// relay pairs, resolves their cached path states in one
+	// memory-parallel pass (latency.View.Resolve — on a warm round this
 	// is where most of the round's DRAM stalls used to serialize), then
 	// prices each train off its resolved handle.
 	nChunks := (len(legJobs) + legChunk - 1) / legChunk
@@ -658,23 +663,18 @@ func (c *campaign) roundExec(slot *roundSlot, round int) (RoundInfo, error) {
 		if hi > len(legJobs) {
 			hi = len(legJobs)
 		}
-		if cap(s.pairs) < legChunk {
-			s.pairs = make([]latency.EndpointPair, legChunk)
-			s.handles = make([]latency.PairHandle, legChunk)
-		}
-		pairs := s.pairs[:hi-lo]
-		handles := s.handles[:hi-lo]
+		pairs, handles := s.batch(hi - lo)
 		for k := lo; k < hi; k++ {
 			idx := legJobs[k]
 			e := int(activeList[int(idx/int64(nr))])
 			relay := &c.w.Catalog.Relays[roundRelays[int(idx%int64(nr))]]
 			pairs[k-lo] = latency.EndpointPair{A: cols.Endpoint(eps[e]), B: relay.Endpoint}
 		}
-		if err := slot.view.ResolveBatch(pairs, handles); err != nil {
+		if err := slot.view.Resolve(pairs, handles, nil); err != nil {
 			return err
 		}
 		for j := range handles {
-			m, n := c.medianFromHandle(slot.view, s, &handles[j], round, hourFrac)
+			m, n := c.trainMedian(slot.view, s, &handles[j], round, hourFrac)
 			legVals[lo+j] = m
 			s.pings += int64(n)
 		}
@@ -827,17 +827,16 @@ func (scr *roundScratch) legVal(nrW, ai, pos int) float32 {
 	return scr.legVals[int(scr.legCum[gw])+bits.OnesCount64(word&(bit-1))]
 }
 
-// scratch is per-worker reusable state: medianRTT is called millions of
-// times per campaign, so neither its train buffer nor its sample buffer
-// may be reallocated per pair. ps is the one-shot pricing scratch — the
-// path-expansion buffers the cache-bypassing fast path reuses.
+// scratch is per-worker reusable state: trainMedian is called millions
+// of times per campaign, so neither its train buffer nor its sample
+// buffer may be reallocated per pair. ps is the one-shot resolution
+// scratch — the path-expansion buffers the cache-bypassing mode reuses.
 type scratch struct {
 	train   []latency.PingSample
 	vals    []float64
-	hf      []float64 // slot schedule buffer for windowStart-based callers
 	ps      latency.PathScratch
-	pairs   []latency.EndpointPair // leg-chunk batch resolve input
-	handles []latency.PairHandle   // leg-chunk batch resolve output
+	pairs   []latency.EndpointPair // resolve input
+	handles []latency.PairHandle   // resolve output
 	pings   int64                  // pings sent by this worker since the last flush
 }
 
@@ -852,61 +851,34 @@ func (c *campaign) flushPings(scr *roundScratch, pings *atomic.Int64) {
 	}
 }
 
-// medianRTT sends the round's ping train from a to b as one batched
-// PingTrain call and returns the median in milliseconds (0 when fewer
-// than MinValidPings replies arrived) plus the number of pings sent.
-func (c *campaign) medianRTT(view latency.View, s *scratch, a, b latency.Endpoint, round int, windowStart time.Time) (float32, int, error) {
-	s.hf = latency.SlotHourFracs(windowStart, c.cfg.PingInterval, c.cfg.PingsPerPair, s.hf[:0])
-	return c.medianRTTIn(view, s, a, b, round, s.hf, false)
-}
-
-// medianRTTIn is medianRTT on the round's precomputed slot schedule
-// (roundScratch.hourFrac), with the pricing path selectable: oneShot
-// prices the pair on the stack (PingTrainOneShotSched) — reading but
-// never populating the shared path-state cache — which sampled rounds
-// use for direct pairs that will never be seen again. Both paths
-// produce identical medians.
-func (c *campaign) medianRTTIn(view latency.View, s *scratch, a, b latency.Endpoint, round int, hourFrac []float64, oneShot bool) (float32, int, error) {
-	train := s.trainBuf(c.cfg.PingsPerPair)
-	var err error
-	if oneShot {
-		err = view.PingTrainOneShotSched(a, b, round, hourFrac, train, &s.ps)
-	} else {
-		err = view.PingTrainSched(a, b, round, hourFrac, train)
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	return c.trainMedian(s, train), len(train), nil
-}
-
-// legChunk is how many leg jobs a worker gathers per batch resolve —
-// sized to keep several independent cache misses in flight (see
-// latency.ResolveBatch) while staying far below a round's job count, so
+// legChunk is how many leg jobs a worker gathers per resolve — sized to
+// keep several independent cache misses in flight (see
+// latency.View.Resolve) while staying far below a round's job count, so
 // the work-stealing dispatch stays balanced.
 const legChunk = 16
 
-// medianFromHandle is medianRTTIn for a batch-resolved pair: the train
-// is priced off the PairHandle, so no per-pair cache traffic remains.
-func (c *campaign) medianFromHandle(view latency.View, s *scratch, h *latency.PairHandle, round int, hourFrac []float64) (float32, int) {
-	train := s.trainBuf(c.cfg.PingsPerPair)
-	view.PingTrainSchedHandle(h, round, hourFrac, train)
-	return c.trainMedian(s, train), len(train)
+// batch returns the worker's resolve buffers cut to n <= legChunk
+// pairs, sizing them on first use.
+func (s *scratch) batch(n int) ([]latency.EndpointPair, []latency.PairHandle) {
+	if cap(s.pairs) < legChunk {
+		s.pairs = make([]latency.EndpointPair, legChunk)
+		s.handles = make([]latency.PairHandle, legChunk)
+	}
+	return s.pairs[:n], s.handles[:n]
 }
 
-// trainBuf returns the worker's n-ping train buffer, sizing it (and the
-// median buffer) on first use.
-func (s *scratch) trainBuf(n int) []latency.PingSample {
+// trainMedian sends the round's ping train for a resolved pair and
+// returns the median of the answered pings in milliseconds (0 when
+// fewer than MinValidPings replies arrived) plus the number of pings
+// sent. hourFrac is the round's slot schedule (latency.SlotHourFracs).
+func (c *campaign) trainMedian(view latency.View, s *scratch, h *latency.PairHandle, round int, hourFrac []float64) (float32, int) {
+	n := c.cfg.PingsPerPair
 	if cap(s.train) < n {
 		s.train = make([]latency.PingSample, n)
 		s.vals = make([]float64, 0, n)
 	}
-	return s.train[:n]
-}
-
-// trainMedian returns the median of a train's answered pings in
-// milliseconds, or 0 when fewer than MinValidPings replies arrived.
-func (c *campaign) trainMedian(s *scratch, train []latency.PingSample) float32 {
+	train := s.train[:n]
+	view.PingTrain(h, round, hourFrac, train)
 	vals := s.vals[:0]
 	for i := range train {
 		if train[i].OK {
@@ -914,9 +886,9 @@ func (c *campaign) trainMedian(s *scratch, train []latency.PingSample) float32 {
 		}
 	}
 	if len(vals) < c.cfg.MinValidPings {
-		return 0
+		return 0, n
 	}
-	return float32(median(vals))
+	return float32(median(vals)), n
 }
 
 // median returns the exact median of vals, sorting in place. Ping trains

@@ -226,3 +226,31 @@ func TestRelayedPathsStudiedCounts(t *testing.T) {
 		t.Fatal("no relayed paths studied")
 	}
 }
+
+func TestMedian(t *testing.T) {
+	// long returns 0..n-1 in a scrambled order; its median is (n-1)/2.
+	long := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64((i * 7) % n) // 7 is coprime to 17 and 18
+		}
+		return v
+	}
+	for _, c := range []struct {
+		name string
+		vals []float64
+		want float64
+	}{
+		{"one", []float64{4}, 4},
+		{"odd", []float64{9, 1, 5}, 5},
+		{"even", []float64{8, 2, 6, 4}, 5},
+		{"even-duplicates", []float64{3, 3, 1, 7}, 3},
+		{"train-of-6", []float64{12.5, 11, 13, 11.5, 40, 12}, 12.25},
+		{"len-17-sort-fallback", long(17), 8},
+		{"len-18-sort-fallback", long(18), 8.5},
+	} {
+		if got := median(c.vals); got != c.want {
+			t.Errorf("%s: median = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -104,9 +104,9 @@ func TestFastAvailabilityGoldenDigests(t *testing.T) {
 
 // TestOneShotPricingAllocs pins the one-shot pricing fast path to zero
 // steady-state allocations: after the path scratch has grown once, a
-// PingTrainOneShotSched over an uncached pair — the sampled-round hot case,
-// where the state is computed on the stack and never admitted to the
-// cache — must not touch the heap.
+// one-shot Resolve plus PingTrain over an uncached pair — the
+// sampled-round hot case, where the state is computed into the scratch
+// and never admitted to the cache — must not touch the heap.
 func TestOneShotPricingAllocs(t *testing.T) {
 	w, err := sim.Build(sim.SmallWorldParams(41))
 	if err != nil {
@@ -122,18 +122,23 @@ func TestOneShotPricingAllocs(t *testing.T) {
 	view := w.Engine.View(nil)
 	samples := make([]latency.PingSample, 6)
 	hourFrac := latency.SlotHourFracs(time.Unix(0, 0), time.Minute, len(samples), nil)
+	pairs := []latency.EndpointPair{{A: pa.Endpoint(), B: pb.Endpoint()}}
+	handles := make([]latency.PairHandle, 1)
 	var ps latency.PathScratch
-	// Warm once: grows the scratch's path buffers.
-	if err := view.PingTrainOneShotSched(pa.Endpoint(), pb.Endpoint(), 0, hourFrac, samples, &ps); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := view.PingTrainOneShotSched(pa.Endpoint(), pb.Endpoint(), 1, hourFrac, samples, &ps); err != nil {
+	price := func(round int) {
+		if err := view.Resolve(pairs, handles, &ps); err != nil {
 			t.Fatal(err)
 		}
-	})
+		view.PingTrain(&handles[0], round, hourFrac, samples)
+	}
+	price(0) // warm once: grows the scratch's path buffers
+	before := w.Engine.CachedPairs()
+	allocs := testing.AllocsPerRun(200, func() { price(1) })
 	if allocs != 0 {
 		t.Fatalf("one-shot pricing allocates: %v allocs/op, want 0", allocs)
+	}
+	if got := w.Engine.CachedPairs(); got != before {
+		t.Fatalf("one-shot pricing admitted %d states to the cache", got-before)
 	}
 }
 

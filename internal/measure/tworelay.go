@@ -1,9 +1,9 @@
 package measure
 
 import (
-	"sort"
 	"time"
 
+	"shortcuts/internal/latency"
 	"shortcuts/internal/relays"
 	"shortcuts/internal/rng"
 	"shortcuts/internal/sim"
@@ -54,14 +54,26 @@ func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int
 		corIdxs = corIdxs[:maxRelays]
 	}
 
-	// Endpoint-relay legs.
+	// Every leg prices on the round's one slot schedule.
 	var s scratch
+	hourFrac := latency.SlotHourFracs(start, cfg.PingInterval, cfg.PingsPerPair, nil)
+	legMedian := func(a, b latency.Endpoint) (float32, error) {
+		pairs, handles := s.batch(1)
+		pairs[0] = latency.EndpointPair{A: a, B: b}
+		if err := view.Resolve(pairs, handles, nil); err != nil {
+			return 0, err
+		}
+		m, _ := c.trainMedian(view, &s, &handles[0], round, hourFrac)
+		return m, nil
+	}
+
+	// Endpoint-relay legs.
 	type legRow = []float32
 	legs := make(map[int]legRow, len(endpoints)) // endpoint idx -> per relay
 	for ei, p := range endpoints {
 		row := make(legRow, len(corIdxs))
 		for k, ri := range corIdxs {
-			m, _, err := c.medianRTT(view, &s, p.Endpoint(), w.Catalog.Relays[ri].Endpoint, round, start)
+			m, err := legMedian(p.Endpoint(), w.Catalog.Relays[ri].Endpoint)
 			if err != nil {
 				return TwoRelayResult{}, err
 			}
@@ -76,8 +88,7 @@ func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int
 	}
 	for a := 0; a < len(corIdxs); a++ {
 		for b := a + 1; b < len(corIdxs); b++ {
-			m, _, err := c.medianRTT(view, &s, w.Catalog.Relays[corIdxs[a]].Endpoint,
-				w.Catalog.Relays[corIdxs[b]].Endpoint, round, start)
+			m, err := legMedian(w.Catalog.Relays[corIdxs[a]].Endpoint, w.Catalog.Relays[corIdxs[b]].Endpoint)
 			if err != nil {
 				return TwoRelayResult{}, err
 			}
@@ -131,9 +142,8 @@ func TwoRelayExperiment(w *sim.World, cfg Config, round, maxPairs, maxRelays int
 			}
 		}
 	}
-	sort.Float64s(extraGains)
-	if n := len(extraGains); n > 0 {
-		res.MedianExtraGainMs = extraGains[n/2]
+	if len(extraGains) > 0 {
+		res.MedianExtraGainMs = median(extraGains)
 	}
 	if wins > 0 {
 		res.MeanExtraLegMs = winLegSum / float64(wins)

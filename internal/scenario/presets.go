@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -22,6 +23,11 @@ func PresetNames() []string {
 	return names
 }
 
+// ErrUnknownPreset is wrapped by the error ByName returns for a name
+// that is not a built-in scenario, so callers can tell a caller's typo
+// from a failure of their own with errors.Is.
+var ErrUnknownPreset = errors.New("scenario: unknown preset")
+
 // ByName returns one of the built-in scenarios. Presets address cities
 // by hub rank and windows by campaign fraction, so they scale to any
 // world and campaign length.
@@ -36,7 +42,7 @@ func ByName(name string) (*Scenario, error) {
 	case PresetChurn:
 		return Churn(), nil
 	default:
-		return nil, fmt.Errorf("scenario: unknown preset %q (have %v)", name, PresetNames())
+		return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownPreset, name, PresetNames())
 	}
 }
 

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -361,6 +363,21 @@ func TestByNamePresets(t *testing.T) {
 	}
 	if _, err := ByName("nope"); err == nil {
 		t.Fatal("unknown preset did not error")
+	}
+}
+
+// TestByNameUnknownPresetIsTyped pins the sentinel callers classify a
+// bad scenario name by, and the message text it keeps.
+func TestByNameUnknownPresetIsTyped(t *testing.T) {
+	_, err := ByName("nope")
+	if !errors.Is(err, ErrUnknownPreset) {
+		t.Fatalf("ByName(\"nope\") = %v, want an error wrapping ErrUnknownPreset", err)
+	}
+	if !strings.HasPrefix(err.Error(), `scenario: unknown preset "nope" (have `) {
+		t.Fatalf("message changed: %q", err)
+	}
+	if _, err := ByName(PresetCalm); errors.Is(err, ErrUnknownPreset) {
+		t.Fatalf("ByName(%q) reported an unknown preset", PresetCalm)
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"shortcuts/internal/measure"
+	"shortcuts/internal/scenario"
 	"shortcuts/internal/topology"
 )
 
@@ -534,15 +536,13 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	}
 	info, err := s.Swap(seed, scen)
 	switch {
-	case err == ErrSwapInFlight:
+	case errors.Is(err, ErrSwapInFlight):
 		writeErr(w, http.StatusConflict, "%v", err)
-	case err != nil:
+	case errors.Is(err, scenario.ErrUnknownPreset):
 		// Unknown scenario names are the caller's mistake; build
 		// failures are ours.
-		if strings.Contains(err.Error(), "unknown preset") {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
+		writeErr(w, http.StatusBadRequest, "%v", err)
+	case err != nil:
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 	default:
 		writeJSON(w, http.StatusOK, map[string]any{"swapped": true, "state": info})

@@ -46,7 +46,9 @@
 #   (default bench/before_pr3.txt) — the recorded pre-optimization run —
 #   it is folded into the JSON as the "before" section.
 #   scripts/trajectory.sh aggregates all committed BENCH_PR*.json into
-#   bench/TRAJECTORY.json, the cross-PR time series.
+#   bench/TRAJECTORY.json, the cross-PR time series. A group whose
+#   -bench regex matches no benchmark (a rename, a deletion) fails the
+#   run with exit 1, naming the group.
 #
 #   Set BENCH_PROFILE_DIR=dir to also write pprof cpu/mem profiles of
 #   the round-level and steady-state benchmark runs into dir (CI uploads
@@ -207,7 +209,7 @@ OUT="${BENCH_OUT:-BENCH_${ref}.json}"
 BEFORE="${BENCH_BEFORE:-bench/before_pr3.txt}"
 
 WORLD_BENCH='BenchmarkWorldBuild'
-PING_BENCH='BenchmarkPingHotPath|BenchmarkPingTrain|BenchmarkBaseRTTWarm'
+PING_BENCH='BenchmarkPingTrain|BenchmarkBaseRTTWarm'
 ROUND_BENCH='BenchmarkRunStream|BenchmarkCampaignRound$|BenchmarkScenarioRound'
 SWEEP_BENCH='BenchmarkSweep'
 MEASURE_BENCH='BenchmarkCampaignRoundSteadyState|BenchmarkFeasibilityFilter'
@@ -229,40 +231,55 @@ profile_flags() {
 }
 
 raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
+trap 'rm -f "$raw" "$raw.group"' EXIT
+
+# run_group NAME REGEX ARGS... runs one benchmark group (go test -bench
+# REGEX ARGS...), appends its output to the run, and exits 1 naming the
+# group when REGEX matched no benchmark: a renamed benchmark must fail
+# the run, not silently drop its group from the JSON.
+run_group() {
+    local name="$1" regex="$2"
+    shift 2
+    go test -run '^$' -bench "$regex" "$@" | tee "$raw.group" >&2
+    cat "$raw.group" >> "$raw"
+    if ! grep -q '^Benchmark' "$raw.group"; then
+        echo "bench.sh: group $name (-bench '$regex') matched no benchmark" >&2
+        exit 1
+    fi
+}
 
 echo "== world-build benchmarks (1 iteration; scale-100k tier included, SHORTCUTS_BENCH_1M=1 adds 1M) ==" >&2
-go test -run '^$' -bench "$WORLD_BENCH" -benchtime=1x -benchmem -timeout 40m . | tee -a "$raw" >&2
+run_group world "$WORLD_BENCH" -benchtime=1x -benchmem -timeout 40m .
 
 echo "== ping-level benchmarks (internal/latency) ==" >&2
-go test -run '^$' -bench "$PING_BENCH" -benchmem ./internal/latency/ | tee -a "$raw" >&2
+run_group ping "$PING_BENCH" -benchmem ./internal/latency/
 
 echo "== round/scenario benchmarks (1 iteration each) ==" >&2
 # shellcheck disable=SC2046
-go test -run '^$' -bench "$ROUND_BENCH" -benchtime=1x -benchmem $(profile_flags round) . | tee -a "$raw" >&2
+run_group round "$ROUND_BENCH" -benchtime=1x -benchmem $(profile_flags round) .
 
 echo "== sweep benchmarks (pinned 3 iterations; see header on noise) ==" >&2
-go test -run '^$' -bench "$SWEEP_BENCH" -benchtime=3x -benchmem . | tee -a "$raw" >&2
+run_group sweep "$SWEEP_BENCH" -benchtime=3x -benchmem .
 
 echo "== campaign steady-state + feasibility benchmarks (internal/measure) ==" >&2
 # shellcheck disable=SC2046
-go test -run '^$' -bench "$MEASURE_BENCH" -benchtime=10x -benchmem $(profile_flags steady) ./internal/measure/ | tee -a "$raw" >&2
+run_group measure "$MEASURE_BENCH" -benchtime=10x -benchmem $(profile_flags steady) ./internal/measure/
 
 echo "== round-pipeline benchmarks (24-round warm campaign, forced K=1/2/8) ==" >&2
-go test -run '^$' -bench "$PIPELINE_BENCH" -benchtime=1x -benchmem ./internal/measure/ | tee -a "$raw" >&2
+run_group pipeline "$PIPELINE_BENCH" -benchtime=1x -benchmem ./internal/measure/
 
 echo "== scale-tier benchmark (100k-endpoint sampled round; SHORTCUTS_BENCH_1M=1 adds 1M) ==" >&2
-go test -run '^$' -bench "$SCALE_BENCH" -benchtime=1x -benchmem -timeout 40m ./internal/measure/ | tee -a "$raw" >&2
+run_group scale "$SCALE_BENCH" -benchtime=1x -benchmem -timeout 40m ./internal/measure/
 
 echo "== serve query benchmark (warm-cache /v1/relays/best; pinned 100k requests for stable qps/p99) ==" >&2
-go test -run '^$' -bench "$SERVE_BENCH" -benchtime=100000x -benchmem ./internal/serve/ | tee -a "$raw" >&2
+run_group serve "$SERVE_BENCH" -benchtime=100000x -benchmem ./internal/serve/
 
 echo "== disruption-detector benchmarks (per-observation emit + per-round fold) ==" >&2
 # The emit path must stay allocation-free in steady state (the invariant
 # is enforced by TestEmitSteadyStateAllocs in the test job; the number
 # recorded here is the ns/op overhead a detecting sink adds per
 # observation).
-go test -run '^$' -bench "$DETECT_BENCH" -benchmem ./internal/detect/ | tee -a "$raw" >&2
+run_group detect "$DETECT_BENCH" -benchmem ./internal/detect/
 
 {
     echo '{'
